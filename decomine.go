@@ -442,7 +442,7 @@ func (s *System) planFlavor(p *pattern.Pattern, mode core.Mode, induced bool, fl
 		tweak(&sopts)
 	}
 	start := time.Now()
-	best, cands, err := core.Search(p, sopts)
+	best, ncand, err := core.Search(p, sopts)
 	elapsed := time.Since(start)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -454,7 +454,7 @@ func (s *System) planFlavor(p *pattern.Pattern, mode core.Mode, induced bool, fl
 	}
 	e = &planEntry{err: err, stats: stats}
 	if err == nil {
-		e.plan, e.cost, e.cands = best.Plan, best.Cost, len(cands)
+		e.plan, e.cost, e.cands = best.Plan, best.Cost, ncand
 	}
 	s.planCache[key] = e
 	return e, false, err

@@ -271,13 +271,19 @@ func CSE(p *Program) int {
 		return k
 	}
 
-	// scope stack of maps key -> canonical dst register
-	var rec func(body []*Node) []*Node
-	scopes := []map[key]int{{}}
+	// Available definitions in scope order, innermost last; a scope's
+	// definitions are truncated away when it closes. A key is defined at
+	// most once among the live entries, since a duplicate merges into the
+	// first. Definitions are SSA, so the registers bound the length.
+	type def struct {
+		k   key
+		dst int
+	}
+	avail := make([]def, 0, p.NumSets+p.NumScalars)
 	lookup := func(k key) (int, bool) {
-		for i := len(scopes) - 1; i >= 0; i-- {
-			if r, ok := scopes[i][k]; ok {
-				return r, true
+		for i := len(avail) - 1; i >= 0; i-- {
+			if avail[i].k == k {
+				return avail[i].dst, true
 			}
 		}
 		return 0, false
@@ -306,8 +312,9 @@ func CSE(p *Program) int {
 			n.SA = scalarAlias[n.SA]
 		}
 	}
+	var rec func(body []*Node) []*Node
 	rec = func(body []*Node) []*Node {
-		var out []*Node
+		out := body[:0]
 		for _, n := range body {
 			rewrite(n)
 			if pure(n) && !readsVolatile(n, vol) {
@@ -321,12 +328,12 @@ func CSE(p *Program) int {
 					merged++
 					continue // drop duplicate def
 				}
-				scopes[len(scopes)-1][k] = n.Dst
+				avail = append(avail, def{k, n.Dst})
 			}
 			if n.Kind == KLoop || n.Kind == KCondPos {
-				scopes = append(scopes, map[key]int{})
+				mark := len(avail)
 				n.Body = rec(n.Body)
-				scopes = scopes[:len(scopes)-1]
+				avail = avail[:mark]
 			}
 			out = append(out, n)
 		}
@@ -377,7 +384,7 @@ func DCE(p *Program) int {
 	removed := 0
 	var rec func(body []*Node) []*Node
 	rec = func(body []*Node) []*Node {
-		var out []*Node
+		out := body[:0]
 		for _, n := range body {
 			if n.Kind == KSetDef && !usedSet[n.Dst] {
 				removed++

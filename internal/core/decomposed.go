@@ -43,6 +43,8 @@ type DecompSpec struct {
 	// fit within cut ∪ one component.
 	Constraints []LabelConstraint
 	Mode        Mode
+
+	codes prefixCodes // set by Search
 }
 
 // DefaultOrders fills a DecompSpec with identity matching orders.
@@ -104,7 +106,7 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 	}
 
 	b := ast.NewBuilder(0)
-	g := newGenCtx(b)
+	g := newGenCtx(b, spec.codes)
 	g.all()
 	cnt := b.NewGlobal()
 	cutPat := d.CutPattern() // vertices 0..nCut-1 in D.CutVerts order
@@ -127,15 +129,13 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 	}
 	if trackShrink {
 		for j, s := range d.Shrinkages {
-			code := s.Pat.Canonical()
-			aut := s.Pat.AutomorphismCount()
-			if spec.SkipShrinkCodes != nil && spec.SkipShrinkCodes[code] {
+			if spec.SkipShrinkCodes[s.Code] {
 				shrinkSkip[j] = true
-				external = append(external, ExternalNeed{Pat: s.Pat, Code: code, Aut: aut})
+				external = append(external, ExternalNeed{Pat: s.Pat, Code: s.Code, Aut: s.Aut})
 				continue
 			}
 			shrinkGlob[j] = b.NewGlobal()
-			shrink = append(shrink, ShrinkCount{Global: shrinkGlob[j], Pat: s.Pat, Code: code, Aut: aut})
+			shrink = append(shrink, ShrinkCount{Global: shrinkGlob[j], Pat: s.Pat, Code: s.Code, Aut: s.Aut})
 		}
 	}
 
@@ -430,7 +430,7 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 	if plrDepth > 0 {
 		plr = fmt.Sprintf(" plr=%d(x%d)", plrDepth, len(plrAuts))
 	}
-	divisor := d.P.AutomorphismCount()
+	divisor := d.Aut
 	if len(spec.Constraints) > 0 {
 		divisor = ConstraintAutomorphismCount(d.P, spec.Constraints)
 	}

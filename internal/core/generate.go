@@ -147,10 +147,37 @@ type genCtx struct {
 	// generation (the optimizer would also CSE them; caching here keeps
 	// naive ASTs small).
 	nbrCache map[int]int
+	codes    prefixCodes
 }
 
-func newGenCtx(b *ast.Builder) *genCtx {
-	return &genCtx{b: b, nbrCache: map[int]int{}}
+func newGenCtx(b *ast.Builder, codes prefixCodes) *genCtx {
+	return &genCtx{b: b, nbrCache: map[int]int{}, codes: codes}
+}
+
+// prefixCodes memoizes, for one algorithm search, the canonical code of
+// every loop prefix the candidates share. A prefix is the subpattern a
+// pattern induces on a vertex mask; patterns are keyed by identity, since
+// one search builds all its candidates from the same pattern objects (the
+// searched pattern and each decomposition's cut, sub and shrinkage
+// patterns). A nil memo computes every code afresh.
+type prefixCodes map[prefixKey]pattern.Code
+
+type prefixKey struct {
+	pat  *pattern.Pattern
+	mask uint32
+}
+
+func (m prefixCodes) code(pat *pattern.Pattern, mask uint32, prefix *pattern.Pattern) pattern.Code {
+	if m == nil {
+		return prefix.Canonical()
+	}
+	k := prefixKey{pat, mask}
+	c, ok := m[k]
+	if !ok {
+		c = prefix.Canonical()
+		m[k] = c
+	}
+	return c
 }
 
 func (g *genCtx) all() int {
@@ -388,11 +415,15 @@ func buildCandidate(g *genCtx, pat *pattern.Pattern, pv int, bind []int, opts ca
 		cand = b.Remove(cand, bind[u])
 	}
 	// Prefix metadata for the cost models.
-	prefixVerts := append(append([]int(nil), boundVerts...), pv)
+	prefixVerts := append(boundVerts, pv)
 	prefix := pat.InducedSub(prefixVerts)
 	if prefix.Connected() && prefix.NumVertices() >= 1 {
+		var mask uint32
+		for _, u := range prefixVerts {
+			mask |= 1 << uint(u)
+		}
 		meta.Prefix = prefix
-		meta.PrefixCode = prefix.Canonical()
+		meta.PrefixCode = g.codes.code(pat, mask, prefix)
 	}
 	return cand, meta
 }
@@ -416,6 +447,8 @@ type DirectSpec struct {
 	// (GraphPi's "mathematical" counting optimization; only in ModeCount).
 	CountLastLoop bool
 	Mode          Mode
+
+	codes prefixCodes // set by Search
 }
 
 // GenerateDirect builds the nested-loop enumeration program for a
@@ -430,7 +463,7 @@ func GenerateDirect(spec DirectSpec) (*Plan, error) {
 		return nil, err
 	}
 	b := ast.NewBuilder(0)
-	g := newGenCtx(b)
+	g := newGenCtx(b, spec.codes)
 	g.all() // define V at root scope so every worker frame sees it
 	cnt := b.NewGlobal()
 	var restr []pattern.Restriction
@@ -508,7 +541,7 @@ func GeneratePinned(p *pattern.Pattern, pinned, rest []int) (*Plan, error) {
 		return nil, err
 	}
 	b := ast.NewBuilder(len(pinned))
-	g := newGenCtx(b)
+	g := newGenCtx(b, nil)
 	g.all()
 	for i := range pinned {
 		g.bindVar(i) // eager N(pin) at root scope

@@ -72,6 +72,9 @@ type SearchOptions struct {
 	// lowering of every candidate (results are bit-identical either
 	// way; only per-iteration work changes).
 	DisableAuxGraphs bool
+	// Visit, when non-nil, receives every costed candidate in generation
+	// order, for callers that need more than the winner (a ranked list).
+	Visit func(Candidate)
 	// Mode ModeEmit additionally requires partial-embedding emission.
 }
 
@@ -92,10 +95,13 @@ type Candidate struct {
 }
 
 // Search generates the candidate space for p, costs every candidate, and
-// returns the best plan plus the full ranked candidate list.
-func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, error) {
+// returns the cheapest plan — the earliest generated among equal costs —
+// and the number of candidates costed. Candidates are ranked as they are
+// generated, so a losing plan is garbage as soon as it is beaten;
+// opts.Visit sees every one of them in generation order.
+func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, int, error) {
 	if opts.Model == nil {
-		return nil, nil, fmt.Errorf("core: search requires a cost model")
+		return nil, 0, fmt.Errorf("core: search requires a cost model")
 	}
 	maxCand := opts.MaxCandidates
 	if maxCand == 0 {
@@ -106,16 +112,18 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 		maxOrders = 24
 	}
 	if !p.Connected() {
-		return nil, nil, fmt.Errorf("core: pattern %s is not connected", p)
+		return nil, 0, fmt.Errorf("core: pattern %s is not connected", p)
 	}
 
 	model := cost.ApplyCalibration(opts.Model, opts.CalibratedCosts)
+	codes := prefixCodes{}
 
 	searchStart := time.Now()
 	var rankTime time.Duration
-	var cands []Candidate
+	var best *Candidate
+	n := 0
 	add := func(plan *Plan, err error) {
-		if err != nil || len(cands) >= maxCand {
+		if err != nil {
 			return
 		}
 		if !opts.DisableOptimize {
@@ -138,12 +146,23 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 			c = arb.RankAdjust(c, plan.Lowered().AuxDecisions)
 		}
 		rankTime += time.Since(rankStart)
-		cands = append(cands, Candidate{Plan: plan, Cost: c})
+		n++
+		cand := Candidate{Plan: plan, Cost: c}
+		if opts.Visit != nil {
+			opts.Visit(cand)
+		}
+		// Strict: the earliest of equally cheap candidates wins.
+		if best == nil || cand.Cost < best.Cost {
+			best = &cand
+		}
 	}
 
 	// Direct plans.
 	if !opts.DisableDirect {
 		for _, order := range matchingOrders(p, maxOrders) {
+			if n >= maxCand {
+				break
+			}
 			add(GenerateDirect(DirectSpec{
 				Pattern: p,
 				Order:   order,
@@ -155,6 +174,7 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 				CountLastLoop: opts.Mode == ModeCount && !opts.DisableCountLastLoop,
 				Constraints:   opts.Constraints,
 				Mode:          opts.Mode,
+				codes:         codes,
 			}))
 		}
 	}
@@ -164,7 +184,7 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 		cuts := decomp.CuttingSets(p)
 		sortCuts(p, cuts)
 		for _, cut := range cuts {
-			if len(cands) >= maxCand {
+			if n >= maxCand {
 				break
 			}
 			d, err := decomp.Decompose(p, cut)
@@ -172,6 +192,10 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 				continue
 			}
 			for _, spec := range decompSpecs(d, opts, maxOrders) {
+				if n >= maxCand {
+					break
+				}
+				spec.codes = codes
 				add(GenerateDecomposed(spec))
 			}
 		}
@@ -180,18 +204,16 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	total := time.Since(searchStart)
 	obsSearches.Inc()
 	obsSearchNS.Add(total.Nanoseconds())
-	obsCandidates.Observe(int64(len(cands)))
+	obsCandidates.Observe(int64(n))
 	if opts.Stats != nil {
 		opts.Stats.EnumerateTime = total - rankTime
 		opts.Stats.RankTime = rankTime
-		opts.Stats.Candidates = len(cands)
+		opts.Stats.Candidates = n
 	}
-	if len(cands) == 0 {
-		return nil, nil, fmt.Errorf("core: no candidates for %s", p)
+	if best == nil {
+		return nil, 0, fmt.Errorf("core: no candidates for %s", p)
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Cost < cands[j].Cost })
-	best := cands[0]
-	return &best, cands, nil
+	return best, n, nil
 }
 
 // sortCuts orders cutting sets: smaller cuts first, then by component

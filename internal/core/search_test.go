@@ -24,21 +24,22 @@ func TestSearchFindsCorrectPlans(t *testing.T) {
 	for _, p := range []*pattern.Pattern{
 		pattern.Chain(4), pattern.Cycle(5), pattern.House(), pattern.Clique(4),
 	} {
-		best, all, err := Search(p, SearchOptions{Model: searchModel(g)})
+		var all []Candidate
+		best, n, err := Search(p, SearchOptions{Model: searchModel(g), Visit: func(c Candidate) { all = append(all, c) }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(all) == 0 {
-			t.Fatalf("%s: empty candidate list", p)
+		if n == 0 || n != len(all) {
+			t.Fatalf("%s: %d candidates, %d visited", p, n, len(all))
 		}
 		want := bruteTuples(g, p, false) / p.AutomorphismCount()
 		if got := runPlan(t, g, best.Plan, 2); got != want {
 			t.Errorf("%s best plan (%s): got %d, want %d", p, best.Plan.Desc, got, want)
 		}
-		// Costs are sorted ascending.
-		for i := 1; i < len(all); i++ {
-			if all[i-1].Cost > all[i].Cost {
-				t.Fatalf("%s: candidates not sorted", p)
+		// The winner is no costlier than any candidate.
+		for _, c := range all {
+			if c.Cost < best.Cost {
+				t.Fatalf("%s: candidate %s (cost %g) beats the winner (cost %g)", p, c.Plan.Desc, c.Cost, best.Cost)
 			}
 		}
 	}
@@ -74,7 +75,8 @@ func TestSearchDecompositionPreferredForDecomposable(t *testing.T) {
 func TestSearchRespectsDisables(t *testing.T) {
 	g := graph.GNP(50, 0.1, 93)
 	p := pattern.Cycle(4)
-	best, all, err := Search(p, SearchOptions{Model: searchModel(g), DisableDecomposition: true})
+	var all, all2 []Candidate
+	best, _, err := Search(p, SearchOptions{Model: searchModel(g), DisableDecomposition: true, Visit: func(c Candidate) { all = append(all, c) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestSearchRespectsDisables(t *testing.T) {
 		}
 	}
 	_ = best
-	best2, all2, err := Search(p, SearchOptions{Model: searchModel(g), DisableDirect: true})
+	best2, _, err := Search(p, SearchOptions{Model: searchModel(g), DisableDirect: true, Visit: func(c Candidate) { all2 = append(all2, c) }})
 	if err != nil {
 		t.Fatal(err)
 	}

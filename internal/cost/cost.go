@@ -242,7 +242,7 @@ func (m *approxMining) estimator() *estimator {
 			if meta == nil || meta.Prefix == nil {
 				return 0, false
 			}
-			c, ok := m.profile.Count(meta.Prefix)
+			c, ok := m.profile.CountCode(meta.Prefix, meta.PrefixCode)
 			if !ok {
 				return 0, false
 			}

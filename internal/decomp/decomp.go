@@ -47,6 +47,11 @@ type Shrinkage struct {
 	// vertex j maps to; used by extract_subpattern_embedding (paper
 	// Alg. 1, line 15).
 	Proj [][]int
+	// Code and Aut are Pat's canonical code and |Aut(Pat)|. Decompose
+	// computes them once for every plan generated from the
+	// decomposition; DecomposeDisjoint leaves them zero.
+	Code pattern.Code
+	Aut  int64
 }
 
 // Decomposition is a full decomposition of a pattern by a cutting set.
@@ -56,13 +61,22 @@ type Decomposition struct {
 	CutVerts    []int // sorted whole-pattern IDs of the cutting set
 	Subpatterns []Subpattern
 	Shrinkages  []Shrinkage
+	// Aut is |Aut(P)| (set by Decompose).
+	Aut int64
+
+	cut *pattern.Pattern
 }
 
 // K returns the number of subpatterns.
 func (d *Decomposition) K() int { return len(d.Subpatterns) }
 
 // CutPattern returns the subpattern induced by the cutting set alone.
+// Decompose builds it once and every caller shares it, so it must not be
+// modified.
 func (d *Decomposition) CutPattern() *pattern.Pattern {
+	if d.cut != nil {
+		return d.cut
+	}
 	return d.P.InducedSub(d.CutVerts)
 }
 
@@ -111,6 +125,12 @@ func Decompose(p *pattern.Pattern, cutMask uint32) (*Decomposition, error) {
 		})
 	}
 	d.Shrinkages = d.enumerateShrinkages()
+	for j := range d.Shrinkages {
+		s := &d.Shrinkages[j]
+		s.Code, s.Aut = s.Pat.Canonical(), s.Pat.AutomorphismCount()
+	}
+	d.Aut = p.AutomorphismCount()
+	d.cut = p.InducedSub(d.CutVerts)
 	return d, nil
 }
 

@@ -304,8 +304,10 @@ func Fig19(cfg Config) *Table {
 		p := mustByName(name)
 		// AM-OPT: time every direct candidate, keep the best runtime.
 		amOpt := time.Duration(math.MaxInt64)
-		_, cands, err := core.Search(p, core.SearchOptions{
+		var cands []core.Candidate
+		_, _, err := core.Search(p, core.SearchOptions{
 			Model: models["LA"], Mode: core.ModeCount, DisableDecomposition: true,
+			Visit: func(c core.Candidate) { cands = append(cands, c) },
 		})
 		if err == nil {
 			// Sort by model cost and time the most promising 12 (full
