@@ -30,7 +30,6 @@ func (s *System) runBudget(plan *core.Plan, budget time.Duration) (int64, bool, 
 	if err != nil {
 		return 0, false, err
 	}
-	s.noteExecStats(res)
 	count, err := plan.ExtractCount(res.Globals, nil)
 	if err != nil {
 		return 0, false, err
@@ -176,9 +175,8 @@ func (s *System) FSMWithin(minSupport int64, maxEdges int, budget time.Duration)
 	return s.fsm(minSupport, maxEdges, budget)
 }
 
-// WorkDistribution executes p's plan and returns the work each worker
-// performed — bytecode instructions under the VM, outer-loop iterations
-// under the tree-walker — the load-balance signal behind the
+// WorkDistribution executes p's plan and returns the bytecode
+// instructions each worker executed — the load-balance signal behind the
 // scalability experiment (Figure 16).
 func (s *System) WorkDistribution(p *Pattern) ([]int64, error) {
 	plan, err := s.plan(p.p, core.ModeCount, false)
@@ -189,7 +187,6 @@ func (s *System) WorkDistribution(p *Pattern) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.noteExecStats(res)
 	return res.WorkPerThread, nil
 }
 

@@ -25,19 +25,6 @@ var (
 	obsCacheNegative = obs.Default.Counter("plancache.negative")
 )
 
-// Interpreter selects the in-process execution engine.
-type Interpreter string
-
-const (
-	// InterpreterVM executes plans on the flat bytecode VM (the
-	// default): the optimized AST is lowered once per plan and executed
-	// by a non-recursive dispatch loop with arena-backed set buffers.
-	InterpreterVM Interpreter = "vm"
-	// InterpreterTree executes plans on the recursive tree-walking
-	// interpreter, kept as an escape hatch and for differential testing.
-	InterpreterTree Interpreter = "tree"
-)
-
 // CostModelKind selects the cost model used by the algorithm search
 // (paper §6).
 type CostModelKind string
@@ -91,11 +78,8 @@ type Options struct {
 	DisableAuxGraphs bool
 	// Seed fixes all randomized choices.
 	Seed int64
-	// Interpreter selects the execution engine (InterpreterVM when
-	// empty).
-	Interpreter Interpreter
-	// Profile arms the in-VM sampling profiler for every plan execution
-	// (VM only): each query's Result.Stats.Exec.Profile then carries its
+	// Profile arms the in-VM sampling profiler for every plan
+	// execution: each query's Result.Stats.Exec.Profile then carries its
 	// wall-time attribution by (opcode × loop depth × kernel path), and
 	// runs accumulate into the process-wide profile served at
 	// /debug/profile. Off by default; profiling adds a clock read per
@@ -106,8 +90,8 @@ type Options struct {
 	// Systems (one per loaded graph in a server) share one set of worker
 	// goroutines. System.Close never closes a shared pool — the owner
 	// does, via Pool.Close. Ignored for sequential configurations
-	// (Threads == 1) and the tree-walking interpreter; when set, the
-	// pool's size overrides Threads for parallel runs.
+	// (Threads == 1); when set, the pool's size overrides Threads for
+	// parallel runs.
 	SharedPool *Pool
 }
 
@@ -174,16 +158,6 @@ type System struct {
 	// ProfileTime records how long the one-off approximate-mining
 	// profiling took (paper §6.3 reports it separately).
 	ProfileTime time.Duration
-	// LastCompileTime records the duration of the most recent plan
-	// search+generation (Figure 18).
-	LastCompileTime time.Duration
-
-	lastOpCounts     []int64
-	lastKernelCounts []int64
-	lastSteals       int64
-	lastSplits       int64
-	lastSlabHits     int64
-	lastSlabMisses   int64
 
 	// Plan-cache counters (see CacheStats). Kept as atomics so the hot
 	// cache-hit path does not lengthen its critical section.
@@ -236,14 +210,13 @@ func (s *System) Close() {
 }
 
 // enginePool returns the shared worker pool, starting it on first use.
-// Sequential configurations (Threads == 1) and the tree-walking
-// interpreter never start a pool.
+// Sequential configurations (Threads == 1) never start a pool.
 func (s *System) enginePool() *engine.Pool {
 	n := s.opts.Threads
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n == 1 || s.opts.Interpreter == InterpreterTree {
+	if n == 1 {
 		return nil
 	}
 	if s.opts.SharedPool != nil {
@@ -261,9 +234,6 @@ func (s *System) enginePool() *engine.Pool {
 // execution state for a plan's bytecode, so repeated runs of a cached
 // plan skip arena planning and recycle worker register frames.
 func (s *System) prepared(code *ast.Lowered) *engine.Prepared {
-	if code == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.prepCache == nil {
@@ -281,20 +251,25 @@ func (s *System) prepared(code *ast.Lowered) *engine.Prepared {
 	return p
 }
 
-// execOptions assembles the engine options every plan execution shares:
-// thread count, interpreter, cached bytecode, the persistent pool and
-// the per-plan prepared state.
-func (s *System) execOptions(plan *core.Plan) engine.Options {
-	code := s.planCode(plan)
+// engineOptions assembles the engine options every execution of this
+// System shares: thread count, the persistent pool, hub routing and
+// profiling.
+func (s *System) engineOptions() engine.Options {
 	return engine.Options{
-		Threads:     s.opts.Threads,
-		Interpreter: s.engineInterp(),
-		Code:        code,
-		Pool:        s.enginePool(),
-		Prepared:    s.prepared(code),
-		DisableHub:  s.opts.DisableHubIndex,
-		Profile:     s.opts.Profile,
+		Threads:    s.opts.Threads,
+		Pool:       s.enginePool(),
+		DisableHub: s.opts.DisableHubIndex,
+		Profile:    s.opts.Profile,
 	}
+}
+
+// execOptions is engineOptions plus a cached plan's bytecode and its
+// per-plan prepared state.
+func (s *System) execOptions(plan *core.Plan) engine.Options {
+	opts := s.engineOptions()
+	opts.Code = plan.Lowered()
+	opts.Prepared = s.prepared(opts.Code)
+	return opts
 }
 
 // Model returns (building lazily) the configured cost model. The
@@ -441,12 +416,9 @@ func (s *System) planFlavor(p *pattern.Pattern, mode core.Mode, induced bool, fl
 	if tweak != nil {
 		tweak(&sopts)
 	}
-	start := time.Now()
 	best, ncand, err := core.Search(p, sopts)
-	elapsed := time.Since(start)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.LastCompileTime = elapsed
 	if e, ok := s.planCache[key]; ok {
 		// A concurrent search for the same key finished first; keep its
 		// entry so every caller sees one canonical plan.
@@ -469,34 +441,6 @@ func (s *System) plan(p *pattern.Pattern, mode core.Mode, induced bool) (*core.P
 	return e.plan, nil
 }
 
-// engineInterp maps the public Interpreter option to the engine's enum.
-func (s *System) engineInterp() engine.Interp {
-	if s.opts.Interpreter == InterpreterTree {
-		return engine.InterpTree
-	}
-	return engine.InterpVM
-}
-
-// planCode returns the plan's cached bytecode when the VM is selected,
-// nil otherwise.
-func (s *System) planCode(plan *core.Plan) *ast.Lowered {
-	if s.opts.Interpreter == InterpreterTree {
-		return nil
-	}
-	return plan.Lowered()
-}
-
-func (s *System) noteExecStats(res *engine.Result) {
-	s.mu.Lock()
-	s.lastOpCounts = res.OpCounts
-	s.lastKernelCounts = res.KernelCounts
-	s.lastSteals = res.Steals
-	s.lastSplits = res.Splits
-	s.lastSlabHits = res.SlabHits
-	s.lastSlabMisses = res.SlabMisses
-	s.mu.Unlock()
-}
-
 // ExecStats reports bytecode execution counters from an engine run.
 type ExecStats struct {
 	// Instructions is the total number of bytecode instructions executed.
@@ -512,7 +456,7 @@ type ExecStats struct {
 	// Steals counts loop ranges taken from another worker's deque by the
 	// work-stealing scheduler, and Splits counts depth-1 subranges shed
 	// by workers executing heavy outer iterations. Zero for sequential
-	// runs and under the tree-walker.
+	// runs.
 	Steals int64
 	Splits int64
 	// SlabHits/SlabMisses score the scheduler's slab-affinity victim
@@ -523,42 +467,8 @@ type ExecStats struct {
 	SlabHits   int64
 	SlabMisses int64
 	// Profile is the run's sampling-profiler attribution, present only
-	// when the System runs with Options.Profile under the VM.
+	// when the System runs with Options.Profile.
 	Profile *ExecutionProfile
-}
-
-// LastExecStats returns the per-opcode execution counters of the most
-// recent *completed* engine run this System started (updated atomically
-// under the System mutex when a run finishes). Under InterpreterTree
-// the counters are empty (the tree-walker does not track them).
-//
-// Deprecated: concurrent queries on a shared System overwrite each
-// other's snapshot, so under load this tells you about *some* recent
-// run, not yours. Use CountPattern and read Result.Stats for per-run
-// counters; this shim is kept for existing callers.
-func (s *System) LastExecStats() ExecStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := ExecStats{PerOp: map[string]int64{}}
-	for op, c := range s.lastOpCounts {
-		if c != 0 {
-			st.PerOp[ast.OpCode(op).String()] = c
-			st.Instructions += c
-		}
-	}
-	for k, c := range s.lastKernelCounts {
-		if c != 0 {
-			if st.Kernels == nil {
-				st.Kernels = map[string]int64{}
-			}
-			st.Kernels[engine.KernelNames[k]] = c
-		}
-	}
-	st.Steals = s.lastSteals
-	st.Splits = s.lastSplits
-	st.SlabHits = s.lastSlabHits
-	st.SlabMisses = s.lastSlabMisses
-	return st
 }
 
 func (s *System) run(plan *core.Plan, newConsumer func(worker int) engine.Consumer) (int64, error) {
@@ -585,7 +495,6 @@ func (s *System) runStats(plan *core.Plan, newConsumer func(worker int) engine.C
 	if err != nil {
 		return 0, nil, lowerDur, err
 	}
-	s.noteExecStats(res)
 	count, err := plan.ExtractCount(res.Globals, resolve)
 	if err != nil {
 		return 0, nil, lowerDur, err

@@ -2,8 +2,9 @@ package decomine
 
 // Differential and concurrency tests for the hybrid dense/sparse set
 // kernels: every pattern must count identically whether the VM routes
-// through the hub bitmap index, runs pure sorted-array kernels
-// (DisableHubIndex), or uses the tree-walking interpreter — and the
+// through the hub bitmap index or runs pure sorted-array kernels
+// (DisableHubIndex), and both must match engine.RunReference on the same
+// compiled plan — and the
 // shared read-only index must be race-free under the work-stealing
 // scheduler (run under -race in CI).
 
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"decomine/internal/obs"
 	"decomine/internal/pattern"
 )
 
@@ -31,14 +33,10 @@ func TestHubIndexDifferentialMotifSuite(t *testing.T) {
 	hubOpts := base
 	noHubOpts := base
 	noHubOpts.DisableHubIndex = true
-	treeOpts := base
-	treeOpts.Interpreter = InterpreterTree
 	hubSys := NewSystem(g, hubOpts)
 	noHubSys := NewSystem(g, noHubOpts)
-	treeSys := NewSystem(g, treeOpts)
 	defer hubSys.Close()
 	defer noHubSys.Close()
-	defer treeSys.Close()
 
 	maxK := 4
 	if testing.Short() {
@@ -56,13 +54,10 @@ func TestHubIndexDifferentialMotifSuite(t *testing.T) {
 			if err != nil {
 				t.Fatalf("k=%d #%d nohub: %v", k, i, err)
 			}
-			tree, err := treeSys.GetPatternCount(pp)
-			if err != nil {
-				t.Fatalf("k=%d #%d tree: %v", k, i, err)
-			}
-			if hub.Count != noHub.Count || hub.Count != tree {
-				t.Errorf("k=%d pattern #%d (%s): hub %d, nohub %d, tree %d",
-					k, i, p, hub.Count, noHub.Count, tree)
+			ref := referenceCount(t, hubSys, pp, nil)
+			if hub.Count != noHub.Count || hub.Count != ref {
+				t.Errorf("k=%d pattern #%d (%s): hub %d, nohub %d, reference %d",
+					k, i, p, hub.Count, noHub.Count, ref)
 			}
 			if n := noHub.Stats.Exec.Kernels["bitmap"] + noHub.Stats.Exec.Kernels["bitmap-count"]; n != 0 {
 				t.Errorf("k=%d pattern #%d: DisableHubIndex run dispatched %d bitmap kernels", k, i, n)
@@ -150,5 +145,41 @@ func TestHubIndexRebuildVisibleToSystem(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("count changed after hub-index rebuild: %d vs %d", got, want)
+	}
+}
+
+// TestCountAllHonorsDisableHubIndex: the merged multi-pattern execution
+// takes its engine options from the System like every other path, so on
+// a DisableHubIndex System it never dispatches a bitmap kernel, while the
+// same call on a hub-enabled System does — with identical counts.
+func TestCountAllHonorsDisableHubIndex(t *testing.T) {
+	g := hubTestGraph(t)
+	pats := []*Pattern{mustPattern("clique-3"), mustPattern("cycle-4"), mustPattern("clique-4")}
+	bitmapKernels := func() int64 {
+		return obs.Default.Counter("engine.kernel.bitmap").Load() +
+			obs.Default.Counter("engine.kernel.bitmap-count").Load()
+	}
+	var counts [2][]int64
+	for i, disable := range []bool{true, false} {
+		sys := NewSystem(g, Options{Threads: 2, CostModel: CostLocality, DisableHubIndex: disable})
+		before := bitmapKernels()
+		got, err := sys.CountAll(pats)
+		moved := bitmapKernels() - before
+		sys.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if disable && moved != 0 {
+			t.Errorf("CountAll on a DisableHubIndex System dispatched %d bitmap kernels", moved)
+		}
+		if !disable && moved == 0 {
+			t.Error("CountAll on a hub-indexed System dispatched no bitmap kernels")
+		}
+		counts[i] = got
+	}
+	for i := range pats {
+		if counts[0][i] != counts[1][i] {
+			t.Errorf("%s: nohub %d, hub %d", pats[i], counts[0][i], counts[1][i])
+		}
 	}
 }

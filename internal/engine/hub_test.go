@@ -68,10 +68,10 @@ func kernelTotal(res *Result, ks ...int) int64 {
 	return n
 }
 
-// TestHubDifferential runs hub-routed, hub-disabled, and tree-walker
-// executions of several programs on the same hub-indexed graph: the
-// counts must be bit-identical, the instruction streams identical, and
-// only the hub run may dispatch bitmap kernels.
+// TestHubDifferential runs hub-routed and hub-disabled VM executions of
+// several programs at 1 and 4 threads on the same hub-indexed graph:
+// the counts must equal RunReference's, the instruction streams must be
+// identical, and only the hub run may dispatch bitmap kernels.
 func TestHubDifferential(t *testing.T) {
 	g := hubGraph(t)
 	progs := map[string]*ast.Program{
@@ -80,45 +80,47 @@ func TestHubDifferential(t *testing.T) {
 		"subtract":      buildSubtractProgram(),
 	}
 	for name, prog := range progs {
-		hub, err := Run(g, prog, Options{Threads: 1})
+		ref, err := RunReference(g, prog, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		noHub, err := Run(g, prog, Options{Threads: 1, DisableHub: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := Run(g, prog, Options{Threads: 1, Interpreter: InterpTree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hub.Globals[0] != noHub.Globals[0] || hub.Globals[0] != tree.Globals[0] {
-			t.Fatalf("%s: counts diverge: hub=%d nohub=%d tree=%d",
-				name, hub.Globals[0], noHub.Globals[0], tree.Globals[0])
-		}
-		if hub.InstructionsExecuted() != noHub.InstructionsExecuted() {
-			t.Fatalf("%s: instruction counts diverge: hub=%d nohub=%d",
-				name, hub.InstructionsExecuted(), noHub.InstructionsExecuted())
-		}
-		if bm := kernelTotal(hub, KernelBitmap, KernelBitmapCount); bm == 0 {
-			t.Fatalf("%s: hub run dispatched no bitmap kernels: %v", name, hub.KernelCounts)
-		}
-		if bm := kernelTotal(noHub, KernelBitmap, KernelBitmapCount); bm != 0 {
-			t.Fatalf("%s: hub-disabled run dispatched %d bitmap kernels", name, bm)
-		}
-		// Total dispatches agree: the router changes which kernel runs,
-		// never how many set operations execute.
-		all := []int{KernelMerge, KernelGallop, KernelBitmap, KernelBitmapCount}
-		if kernelTotal(hub, all...) != kernelTotal(noHub, all...) {
-			t.Fatalf("%s: dispatch totals diverge: hub=%v nohub=%v",
-				name, hub.KernelCounts, noHub.KernelCounts)
+		for _, threads := range []int{1, 4} {
+			hub, err := Run(g, prog, Options{Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			noHub, err := Run(g, prog, Options{Threads: threads, DisableHub: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hub.Globals[0] != ref[0] || noHub.Globals[0] != ref[0] {
+				t.Fatalf("%s threads=%d: counts diverge: hub=%d nohub=%d reference=%d",
+					name, threads, hub.Globals[0], noHub.Globals[0], ref[0])
+			}
+			if hub.InstructionsExecuted() != noHub.InstructionsExecuted() {
+				t.Fatalf("%s threads=%d: instruction counts diverge: hub=%d nohub=%d",
+					name, threads, hub.InstructionsExecuted(), noHub.InstructionsExecuted())
+			}
+			if bm := kernelTotal(hub, KernelBitmap, KernelBitmapCount); bm == 0 {
+				t.Fatalf("%s threads=%d: hub run dispatched no bitmap kernels: %v", name, threads, hub.KernelCounts)
+			}
+			if bm := kernelTotal(noHub, KernelBitmap, KernelBitmapCount); bm != 0 {
+				t.Fatalf("%s threads=%d: hub-disabled run dispatched %d bitmap kernels", name, threads, bm)
+			}
+			// Total dispatches agree: the router changes which kernel runs,
+			// never how many set operations execute.
+			all := []int{KernelMerge, KernelGallop, KernelBitmap, KernelBitmapCount}
+			if kernelTotal(hub, all...) != kernelTotal(noHub, all...) {
+				t.Fatalf("%s threads=%d: dispatch totals diverge: hub=%v nohub=%v",
+					name, threads, hub.KernelCounts, noHub.KernelCounts)
+			}
 		}
 	}
 }
 
 // TestKernelCountsScheduleInvariant checks that the merged kernel-path
-// counters do not depend on thread count, scheduler, or the
-// steal/split schedule (thief prefix replays are muted).
+// counters do not depend on thread count or the steal/split schedule
+// (thief prefix replays are muted).
 func TestKernelCountsScheduleInvariant(t *testing.T) {
 	g := hubGraph(t)
 	prog := buildTriangleProgram()
@@ -129,24 +131,18 @@ func TestKernelCountsScheduleInvariant(t *testing.T) {
 	if kernelTotal(base, KernelBitmap, KernelBitmapCount) == 0 {
 		t.Fatal("baseline run dispatched no bitmap kernels")
 	}
-	cases := []Options{
-		{Threads: 2},
-		{Threads: 4},
-		{Threads: 8},
-		{Threads: 4, Sched: SchedChunk},
-	}
-	for _, opts := range cases {
-		res, err := Run(g, prog, opts)
+	for _, threads := range []int{2, 4, 8} {
+		res, err := Run(g, prog, Options{Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Globals[0] != base.Globals[0] {
-			t.Fatalf("threads=%d sched=%d: count %d != %d", opts.Threads, opts.Sched, res.Globals[0], base.Globals[0])
+			t.Fatalf("threads=%d: count %d != %d", threads, res.Globals[0], base.Globals[0])
 		}
 		for k := range base.KernelCounts {
 			if res.KernelCounts[k] != base.KernelCounts[k] {
-				t.Fatalf("threads=%d sched=%d: kernel %s count %d != %d",
-					opts.Threads, opts.Sched, KernelNames[k], res.KernelCounts[k], base.KernelCounts[k])
+				t.Fatalf("threads=%d: kernel %s count %d != %d",
+					threads, KernelNames[k], res.KernelCounts[k], base.KernelCounts[k])
 			}
 		}
 	}

@@ -197,8 +197,8 @@ func TestPoolConcurrentJobs(t *testing.T) {
 }
 
 // TestOpCountsScheduleInvariant checks that the merged per-opcode
-// execution counts do not depend on the thread count, the scheduler, or
-// the steal/split schedule.
+// execution counts do not depend on the thread count or the steal/split
+// schedule.
 func TestOpCountsScheduleInvariant(t *testing.T) {
 	g := graph.RMAT(9, 8, 21)
 	prog := buildTriangleProgram()
@@ -206,24 +206,18 @@ func TestOpCountsScheduleInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []Options{
-		{Threads: 2},
-		{Threads: 4},
-		{Threads: 8},
-		{Threads: 4, Sched: SchedChunk},
-	}
-	for _, opts := range cases {
-		res, err := Run(g, prog, opts)
+	for _, threads := range []int{2, 4, 8} {
+		res, err := Run(g, prog, Options{Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Globals[0] != base.Globals[0] {
-			t.Fatalf("threads=%d sched=%d: count %d != %d", opts.Threads, opts.Sched, res.Globals[0], base.Globals[0])
+			t.Fatalf("threads=%d: count %d != %d", threads, res.Globals[0], base.Globals[0])
 		}
 		for op := range base.OpCounts {
 			if res.OpCounts[op] != base.OpCounts[op] {
-				t.Fatalf("threads=%d sched=%d: op %s count %d != %d",
-					opts.Threads, opts.Sched, ast.OpCode(op), res.OpCounts[op], base.OpCounts[op])
+				t.Fatalf("threads=%d: op %s count %d != %d",
+					threads, ast.OpCode(op), res.OpCounts[op], base.OpCounts[op])
 			}
 		}
 	}
@@ -243,14 +237,6 @@ func TestStealCountersOnSkewedGraph(t *testing.T) {
 	}
 	if res.Splits < 0 {
 		t.Fatal("negative splits")
-	}
-	// SchedChunk never steals or splits.
-	cres, err := Run(g, prog, Options{Threads: 4, Sched: SchedChunk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cres.Steals != 0 || cres.Splits != 0 {
-		t.Fatalf("chunk driver reported steals=%d splits=%d", cres.Steals, cres.Splits)
 	}
 }
 

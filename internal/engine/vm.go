@@ -1,12 +1,12 @@
 package engine
 
 // The bytecode VM: a single non-recursive dispatch loop per worker over
-// the flat instruction stream produced by ast.Lower. Compared to the
-// tree-walking interpreter it removes the per-node interface dispatch,
-// Body slice traversal and execOK recursion from the inner mining loops,
-// and it preallocates all set buffers in one per-worker arena sized from
-// a static bound analysis of the instruction stream, so steady-state
-// execution performs no allocations at all.
+// the flat instruction stream produced by ast.Lower. Compared to
+// interpreting the AST directly (RunReference, kept for tests) it
+// removes the per-node dispatch, Body slice traversal and recursion from
+// the inner mining loops, and it preallocates all set buffers in one
+// per-worker arena sized from a static bound analysis of the instruction
+// stream, so steady-state execution performs no allocations at all.
 
 import (
 	"fmt"
@@ -220,7 +220,7 @@ func (sh *vmShared) getFrame() *vmFrame {
 		f.resetForJob()
 		return f
 	}
-	return newVMFrame(sh, nil)
+	return newVMFrame(sh)
 }
 
 // vmFrame is a per-worker register file plus loop iteration state. Set
@@ -306,7 +306,7 @@ type vmFrame struct {
 // vertex's subtree) overruns a budget by at most ~2^14 instructions.
 const cancelCheckInterval = 1 << 14
 
-func newVMFrame(sh *vmShared, parent *vmFrame) *vmFrame {
+func newVMFrame(sh *vmShared) *vmFrame {
 	prog := sh.bc.Prog
 	f := &vmFrame{
 		sh:       sh,
@@ -341,14 +341,6 @@ func newVMFrame(sh *vmShared, parent *vmFrame) *vmFrame {
 			width = prog.TableWidths[i]
 		}
 		f.tables[i] = NewHashTable(width)
-	}
-	if parent != nil {
-		copy(f.vars, parent.vars)
-		copy(f.scalars, parent.scalars)
-		// Root-level set registers are SSA and read-only within loops,
-		// so workers may alias the master's slices.
-		copy(f.sets, parent.sets)
-		f.fuelBudget = parent.fuelBudget
 	}
 	return f
 }
@@ -1029,12 +1021,10 @@ func (f *vmFrame) execD1(i int, v uint32, lo, hi int, elemUnits int64, sched d1S
 // splittable reports whether loop segment i supports depth-1 splitting.
 func (f *vmFrame) splittable(i int) bool { return f.sh.d1[i].ok }
 
-// --- runner interface (shared parallel driver) ---
+// --- parallel driver hooks ---
 
-func (f *vmFrame) pin(pins []uint32) { copy(f.vars, pins) }
-
-func (f *vmFrame) numTop() int { return len(f.sh.bc.Segments) }
-
+// topLoop returns the iteration set of top-level segment i, or
+// (nil, false) when it is not a loop.
 func (f *vmFrame) topLoop(i int) ([]uint32, bool) {
 	seg := &f.sh.bc.Segments[i]
 	if !seg.Loop {
@@ -1043,6 +1033,7 @@ func (f *vmFrame) topLoop(i int) ([]uint32, bool) {
 	return f.sets[seg.Over], true
 }
 
+// execTop runs top-level segment i whole on this frame.
 func (f *vmFrame) execTop(i int) bool {
 	seg := &f.sh.bc.Segments[i]
 	if f.prof != nil {
@@ -1052,6 +1043,8 @@ func (f *vmFrame) execTop(i int) bool {
 	return f.exec(seg.Start, seg.End)
 }
 
+// execChunk runs loop segment i's body over an explicit element slice;
+// false means a consumer or cancellation stopped the run.
 func (f *vmFrame) execChunk(i int, elems []uint32) bool {
 	seg := &f.sh.bc.Segments[i]
 	if f.prof != nil {
@@ -1069,26 +1062,18 @@ func (f *vmFrame) execChunk(i int, elems []uint32) bool {
 	return true
 }
 
-func (f *vmFrame) fork() runner { return newVMFrame(f.sh, f) }
-
-// forkWorker returns a worker frame for the persistent pool, recycling
-// register files and arenas across runs; the caller re-syncs root state
-// via syncFrom.
-func (f *vmFrame) forkWorker() runner { return f.sh.getFrame() }
-
-// retire returns a worker frame to the shared recycle pool.
-func (f *vmFrame) retire(w runner) { f.sh.framePool.Put(w.(*vmFrame)) }
+// retire returns this frame to its program's recycle pool.
+func (f *vmFrame) retire() { f.sh.framePool.Put(f) }
 
 // syncFrom re-copies the master's register state (pins, root-level set
 // and scalar definitions) into this worker frame at a segment boundary.
-func (f *vmFrame) syncFrom(m runner) {
-	mf := m.(*vmFrame)
-	copy(f.vars, mf.vars)
-	copy(f.scalars, mf.scalars)
+func (f *vmFrame) syncFrom(m *vmFrame) {
+	copy(f.vars, m.vars)
+	copy(f.scalars, m.scalars)
 	// Root-level set registers are SSA and read-only within loops, so
 	// workers may alias the master's slices; in-loop registers are
 	// redefined before any read.
-	copy(f.sets, mf.sets)
+	copy(f.sets, m.sets)
 }
 
 // resetForJob clears run-scoped accumulators on a recycled frame.
@@ -1122,10 +1107,7 @@ func (f *vmFrame) resetForJob() {
 	f.progress = nil
 }
 
-func (f *vmFrame) setCancel(c *atomic.Bool) { f.cancel = c }
-
-func (f *vmFrame) canceled() bool { return f.cancelHit }
-
+// instrCount reports the bytecode instructions this frame executed.
 func (f *vmFrame) instrCount() int64 {
 	var n int64
 	for _, c := range f.opCounts {
@@ -1134,10 +1116,8 @@ func (f *vmFrame) instrCount() int64 {
 	return n
 }
 
-func (f *vmFrame) setConsumer(c Consumer) { f.consumer = c }
-
-func (f *vmFrame) mergeFrom(w runner) {
-	wf := w.(*vmFrame)
+// mergeFrom folds a worker's accumulators into this (master) frame.
+func (f *vmFrame) mergeFrom(wf *vmFrame) {
 	for i, v := range wf.globalsV {
 		f.globalsV[i] += v
 	}
@@ -1155,6 +1135,7 @@ func (f *vmFrame) mergeFrom(w runner) {
 	}
 }
 
+// finish publishes the master frame's accumulators into res.
 func (f *vmFrame) finish(res *Result) {
 	copy(res.Globals, f.globalsV)
 	res.OpCounts = make([]int64, ast.NumOpcodes)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"decomine/internal/ast"
@@ -9,7 +8,7 @@ import (
 )
 
 // vmTestPrograms collects programs covering every opcode class so the
-// interpreters can be compared head to head.
+// VM can be compared against RunReference head to head.
 func vmTestPrograms() map[string]*ast.Program {
 	progs := map[string]*ast.Program{
 		"triangle": buildTriangleProgram(),
@@ -72,34 +71,36 @@ func vmTestPrograms() map[string]*ast.Program {
 	return progs
 }
 
-// runBoth executes prog under both interpreters with the same settings.
-func runBoth(t *testing.T, g *graph.Graph, prog *ast.Program, opts Options) (vm, tree *Result) {
+// checkAgainstReference runs prog on the VM at 1 and 4 threads and
+// requires every global to equal RunReference's; it returns the
+// reference globals.
+func checkAgainstReference(t *testing.T, name string, g *graph.Graph, prog *ast.Program) []int64 {
 	t.Helper()
-	opts.Interpreter = InterpVM
-	vm, err := Run(g, prog, opts)
+	ref, err := RunReference(g, prog, nil, nil)
 	if err != nil {
-		t.Fatalf("vm: %v", err)
+		t.Fatalf("%s reference: %v", name, err)
 	}
-	opts.Interpreter = InterpTree
-	tree, err = Run(g, prog, opts)
-	if err != nil {
-		t.Fatalf("tree: %v", err)
+	for _, threads := range []int{1, 4} {
+		vm, err := Run(g, prog, Options{Threads: threads})
+		if err != nil {
+			t.Fatalf("%s vm: %v", name, err)
+		}
+		for i := range ref {
+			if vm.Globals[i] != ref[i] {
+				t.Errorf("%s threads=%d global %d: vm %d, reference %d",
+					name, threads, i, vm.Globals[i], ref[i])
+			}
+		}
 	}
-	return vm, tree
+	return ref
 }
 
+// TestVMMatchesTreeWalker compares the VM against RunReference, the
+// AST interpreter, on every opcode class.
 func TestVMMatchesTreeWalker(t *testing.T) {
 	g := graph.GNP(150, 0.08, 99)
 	for name, prog := range vmTestPrograms() {
-		for _, threads := range []int{1, 4} {
-			vm, tree := runBoth(t, g, prog, Options{Threads: threads})
-			for i := range vm.Globals {
-				if vm.Globals[i] != tree.Globals[i] {
-					t.Errorf("%s threads=%d global %d: vm %d, tree %d",
-						name, threads, i, vm.Globals[i], tree.Globals[i])
-				}
-			}
-		}
+		checkAgainstReference(t, name, g, prog)
 	}
 }
 
@@ -136,10 +137,7 @@ func TestVMMatchesTreeWalkerLabeled(t *testing.T) {
 	b.EndLoop()
 	prog := b.Finish()
 
-	vm, tree := runBoth(t, g, prog, Options{Threads: 2})
-	if vm.Globals[0] != tree.Globals[0] {
-		t.Fatalf("labeled: vm %d, tree %d", vm.Globals[0], tree.Globals[0])
-	}
+	checkAgainstReference(t, "labeled", g, prog)
 }
 
 func TestVMOpCountsPopulated(t *testing.T) {
@@ -172,17 +170,6 @@ func TestVMOpCountsPopulated(t *testing.T) {
 			t.Fatalf("op %s: parallel %d, sequential %d",
 				ast.OpCode(op), res.OpCounts[op], seq.OpCounts[op])
 		}
-	}
-
-	tree, err := Run(g, prog, Options{Threads: 2, Interpreter: InterpTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.OpCounts != nil {
-		t.Fatal("tree-walker should not report OpCounts")
-	}
-	if tree.InstructionsExecuted() != 0 {
-		t.Fatal("tree-walker InstructionsExecuted should be 0")
 	}
 }
 
@@ -228,56 +215,68 @@ func TestVMEmitAndEarlyStop(t *testing.T) {
 	prog := b.Finish()
 	g := graph.GNP(100, 0.1, 31)
 
-	for _, interp := range []Interp{InterpVM, InterpTree} {
-		var edges int64
-		_, err := Run(g, prog, Options{
-			Threads:     1,
-			Interpreter: interp,
-			NewConsumer: func(w int) Consumer {
-				return ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
-					edges += count
-					return true
-				})
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if edges != g.NumEdges() {
-			t.Fatalf("interp %d emitted %d, want %d", interp, edges, g.NumEdges())
-		}
-
-		seen := 0
-		_, err = Run(g, prog, Options{
-			Threads:     1,
-			Interpreter: interp,
-			NewConsumer: func(w int) Consumer {
-				return ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
-					seen++
-					return seen < 7
-				})
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen != 7 {
-			t.Fatalf("interp %d early stop saw %d emits", interp, seen)
+	newCounter := func(emitted []int64) func(w int) Consumer {
+		return func(w int) Consumer {
+			return ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
+				emitted[w] += count
+				return true
+			})
 		}
 	}
-}
+	var refEmitted [1]int64
+	if _, err := RunReference(g, prog, nil, newCounter(refEmitted[:])); err != nil {
+		t.Fatal(err)
+	}
+	if refEmitted[0] != g.NumEdges() {
+		t.Fatalf("reference emitted %d, want %d", refEmitted[0], g.NumEdges())
+	}
+	var refSeen int
+	if _, err := RunReference(g, prog, nil, func(w int) Consumer {
+		return ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
+			refSeen++
+			return refSeen < 7
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if refSeen != 7 {
+		t.Fatalf("reference early stop saw %d emits", refSeen)
+	}
 
-func TestVMCancelParity(t *testing.T) {
-	g := graph.GNP(300, 0.05, 2)
-	for _, interp := range []Interp{InterpVM, InterpTree} {
-		var cancel atomic.Bool
-		cancel.Store(true)
-		res, err := Run(g, slowProgram(), Options{Threads: 4, Cancel: &cancel, Interpreter: interp})
+	for _, threads := range []int{1, 4} {
+		emitted := make([]int64, threads)
+		if _, err := Run(g, prog, Options{Threads: threads, NewConsumer: newCounter(emitted)}); err != nil {
+			t.Fatal(err)
+		}
+		var total int64
+		for _, e := range emitted {
+			total += e
+		}
+		if total != refEmitted[0] {
+			t.Fatalf("threads=%d: vm emitted %d, reference %d", threads, total, refEmitted[0])
+		}
+
+		// Each worker's consumer stops the run at its 7th emit: some
+		// worker must get there, and none may go past it.
+		seen := make([]int, threads)
+		_, err := Run(g, prog, Options{
+			Threads: threads,
+			NewConsumer: func(w int) Consumer {
+				return ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
+					seen[w]++
+					return seen[w] < 7
+				})
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Canceled {
-			t.Fatalf("interp %d: cancel not observed", interp)
+		most := 0
+		for _, n := range seen {
+			most = max(most, n)
+		}
+		if most != refSeen {
+			t.Fatalf("threads=%d: vm early stop saw at most %d emits per worker, reference %d", threads, most, refSeen)
 		}
 	}
 }
@@ -327,11 +326,7 @@ func TestVMArenaBoundsAreRespected(t *testing.T) {
 	prog := b.Finish()
 
 	g := graph.GNP(120, 0.15, 3)
-	vm, tree := runBoth(t, g, prog, Options{Threads: 2})
-	if vm.Globals[0] != tree.Globals[0] {
-		t.Fatalf("deep intersect chain: vm %d, tree %d", vm.Globals[0], tree.Globals[0])
-	}
-	if vm.Globals[0] == 0 {
+	if ref := checkAgainstReference(t, "deep intersect chain", g, prog); ref[0] == 0 {
 		t.Fatal("test graph too sparse to exercise intersect chain")
 	}
 }

@@ -85,7 +85,6 @@ func (s *System) processPartialEmbeddings(p *Pattern, newUDF func(worker int) UD
 	if err != nil {
 		return false, err
 	}
-	s.noteExecStats(res)
 	return res.Canceled, nil
 }
 
@@ -174,18 +173,18 @@ func (s *System) Materialize(p *Pattern, pe *PartialEmbedding, num int) ([][]uin
 		return nil, err
 	}
 	var out [][]uint32
-	_, err = engine.Run(s.graph.g, plan.Prog, engine.Options{
-		Threads:     1,
-		Pins:        pins,
-		Interpreter: s.engineInterp(),
-		NewConsumer: func(worker int) engine.Consumer {
-			return engine.ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
-				out = append(out, append([]uint32(nil), verts...))
-				return len(out) < num
-			})
-		},
-	})
-	if err != nil {
+	// One worker: the consumer appends to out without locking and its
+	// false return must stop the whole run at num embeddings.
+	opts := s.engineOptions()
+	opts.Threads = 1
+	opts.Pins = pins
+	opts.NewConsumer = func(worker int) engine.Consumer {
+		return engine.ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
+			out = append(out, append([]uint32(nil), verts...))
+			return len(out) < num
+		})
+	}
+	if _, err := engine.Run(s.graph.g, plan.Prog, opts); err != nil {
 		return nil, err
 	}
 	return out, nil

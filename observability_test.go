@@ -132,10 +132,10 @@ func TestCountPatternStats(t *testing.T) {
 	}
 }
 
-// TestPerRunStatsConcurrent is the LastExecStats-race fix check:
-// concurrent queries on one System must each observe their *own*
-// instruction counts (per-opcode totals are deterministic and
-// steal-schedule independent), not a clobbered global snapshot.
+// TestPerRunStatsConcurrent: concurrent queries on one System must each
+// observe their *own* instruction counts (per-opcode totals are
+// deterministic and steal-schedule independent), not a clobbered shared
+// snapshot.
 func TestPerRunStatsConcurrent(t *testing.T) {
 	g := GenerateGNP(80, 0.1, 993)
 	names := []string{"chain-3", "clique-3", "cycle-4", "chain-4", "star-4"}

@@ -1,23 +1,20 @@
 package decomine
 
 // Differential and determinism tests for the work-stealing scheduler:
-// the VM with stealing (the default driver) must agree with the
-// sequential tree-walker on every pattern flavor — plain, labeled,
-// vertex-induced and group-constrained — over both uniform G(n,p) and
-// skewed R-MAT graphs, and its merged OpCounts must not depend on the
-// thread count or the steal schedule.
+// the VM with stealing must agree with engine.RunReference on the same
+// compiled plan for plain, labeled and group-constrained counts, and
+// with an independent oracle for vertex-induced counts (see
+// vertexInducedOracle), over both uniform G(n,p) and skewed R-MAT
+// graphs; its merged OpCounts must not depend on the thread count or
+// the steal schedule.
 
 import (
 	"testing"
+
+	"decomine/internal/baseline"
+	"decomine/internal/core"
+	"decomine/internal/pattern"
 )
-
-func stealSystem(g *Graph, threads int) *System {
-	return NewSystem(g, Options{Threads: threads, CostModel: CostLocality})
-}
-
-func treeSystem(g *Graph) *System {
-	return NewSystem(g, Options{Threads: 1, CostModel: CostLocality, Interpreter: InterpreterTree})
-}
 
 func TestStealDifferentialAcrossGraphShapes(t *testing.T) {
 	graphs := []struct {
@@ -29,8 +26,8 @@ func TestStealDifferentialAcrossGraphShapes(t *testing.T) {
 	}
 	names := []string{"clique-3", "cycle-4", "clique-4", "house"}
 	for _, gc := range graphs {
-		vm := stealSystem(gc.g, 4)
-		tree := treeSystem(gc.g)
+		vm := differentialSystem(gc.g, 4)
+		censuses := map[int]map[pattern.Code]int64{}
 		for _, name := range names {
 			p, err := PatternByName(name)
 			if err != nil {
@@ -41,24 +38,16 @@ func TestStealDifferentialAcrossGraphShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s vm: %v", gc.name, name, err)
 			}
-			want, err := tree.GetPatternCount(p)
-			if err != nil {
-				t.Fatalf("%s %s tree: %v", gc.name, name, err)
-			}
-			if got != want {
-				t.Errorf("%s %s: steal VM %d != tree %d", gc.name, name, got, want)
+			if want := referenceCount(t, vm, p, nil); got != want {
+				t.Errorf("%s %s: steal VM %d != reference %d", gc.name, name, got, want)
 			}
 			// Vertex-induced.
 			got, err = vm.GetPatternCountVertexInduced(p)
 			if err != nil {
 				t.Fatalf("%s %s vm induced: %v", gc.name, name, err)
 			}
-			want, err = tree.GetPatternCountVertexInduced(p)
-			if err != nil {
-				t.Fatalf("%s %s tree induced: %v", gc.name, name, err)
-			}
-			if got != want {
-				t.Errorf("%s %s induced: steal VM %d != tree %d", gc.name, name, got, want)
+			if want := vertexInducedOracle(t, vm, p, censuses); got != want {
+				t.Errorf("%s %s induced: steal VM %d != oracle %d", gc.name, name, got, want)
 			}
 			// Group-constrained (all pattern vertices share one label).
 			cons := []LabelConstraint{{Kind: AllSameLabel, Vertices: allVerts(p)}}
@@ -66,17 +55,33 @@ func TestStealDifferentialAcrossGraphShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s vm constrained: %v", gc.name, name, err)
 			}
-			want, err = tree.CountWithConstraints(p, cons)
-			if err != nil {
-				t.Fatalf("%s %s tree constrained: %v", gc.name, name, err)
-			}
-			if got != want {
-				t.Errorf("%s %s constrained: steal VM %d != tree %d", gc.name, name, got, want)
+			if want := referenceCount(t, vm, p, cons); got != want {
+				t.Errorf("%s %s constrained: steal VM %d != reference %d", gc.name, name, got, want)
 			}
 		}
 		vm.Close()
-		tree.Close()
 	}
+}
+
+// vertexInducedOracle returns p's vertex-induced count on sys's graph.
+// Patterns of up to 4 vertices read it off internal/baseline's
+// pattern-oblivious census (memoized per size in censuses). Larger ones
+// run sys's direct vertex-induced plan through engine.RunReference
+// instead: the 5-vertex census of a skewed R-MAT takes minutes.
+func vertexInducedOracle(t *testing.T, sys *System, p *Pattern, censuses map[int]map[pattern.Code]int64) int64 {
+	t.Helper()
+	k := p.NumVertices()
+	if k > 4 {
+		best, _, err := core.Search(p.p, sys.searchOptions(core.ModeCount, true))
+		if err != nil {
+			t.Fatalf("%s: vertex-induced plan: %v", p, err)
+		}
+		return referencePlanCount(t, sys, best.Plan)
+	}
+	if censuses[k] == nil {
+		censuses[k] = baseline.ObliviousMotifCensus(sys.graph.g, k)
+	}
+	return censuses[k][p.p.Canonical()]
 }
 
 func allVerts(p *Pattern) []int {
@@ -89,7 +94,7 @@ func allVerts(p *Pattern) []int {
 
 // TestStealOpCountsThreadIndependent runs the same query under 1, 2, 4
 // and 7 workers (odd counts shift the steal schedule) and requires
-// byte-identical per-opcode totals from LastExecStats every time.
+// byte-identical per-opcode totals in Result.Stats.Exec every time.
 func TestStealOpCountsThreadIndependent(t *testing.T) {
 	g := GenerateRMAT(9, 7, 601)
 	p, err := PatternByName("house")
@@ -99,12 +104,12 @@ func TestStealOpCountsThreadIndependent(t *testing.T) {
 	var base map[string]int64
 	var baseCount int64
 	for _, threads := range []int{1, 2, 4, 7} {
-		sys := stealSystem(g, threads)
-		c, err := sys.GetPatternCount(p)
+		sys := differentialSystem(g, threads)
+		r, err := sys.CountPattern(p)
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
-		st := sys.LastExecStats()
+		c, st := r.Count, r.Stats.Exec
 		if base == nil {
 			base, baseCount = st.PerOp, c
 			sys.Close()
@@ -130,26 +135,26 @@ func TestStealOpCountsThreadIndependent(t *testing.T) {
 // steal schedule.
 func TestStealDeterministicRepeats(t *testing.T) {
 	g := GenerateRMAT(8, 8, 701)
-	sys := stealSystem(g, 4)
+	sys := differentialSystem(g, 4)
 	defer sys.Close()
 	p, err := PatternByName("cycle-4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.GetPatternCount(p)
+	want, err := sys.CountPattern(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		got, err := sys.GetPatternCount(p)
+		got, err := sys.CountPattern(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("repeat %d: %d != %d", i, got, want)
+		if got.Count != want.Count {
+			t.Fatalf("repeat %d: %d != %d", i, got.Count, want.Count)
 		}
-	}
-	if st := sys.LastExecStats(); st.Instructions == 0 {
-		t.Fatal("no instructions recorded")
+		if got.Stats.Exec.Instructions == 0 {
+			t.Fatalf("repeat %d: no instructions recorded", i)
+		}
 	}
 }

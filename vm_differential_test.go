@@ -1,8 +1,10 @@
 package decomine
 
-// Differential tests between the two execution engines: every pattern in
-// the seed suite must produce identical counts on the bytecode VM and
-// the tree-walking interpreter, over both G(n,p) and R-MAT graphs,
+// Differential tests for the bytecode VM: every pattern in the seed
+// suite must count identically on the VM (through the public API, with
+// the work-stealing driver) and on engine.RunReference — the AST
+// interpreter that shares no code with lowering, the VM dispatch loop or
+// the driver — running the same compiled plan, over both G(n,p) and R-MAT graphs,
 // including labeled and constrained variants and cancellation mid-run.
 
 import (
@@ -10,17 +12,39 @@ import (
 	"testing"
 	"time"
 
+	"decomine/internal/core"
+	"decomine/internal/engine"
 	"decomine/internal/pattern"
 )
 
-// vmTreePair builds two Systems over g differing only in interpreter.
-func vmTreePair(g *Graph, threads int) (vmSys, treeSys *System) {
-	base := Options{Threads: threads, CostModel: CostLocality}
-	vmOpts := base
-	vmOpts.Interpreter = InterpreterVM
-	treeOpts := base
-	treeOpts.Interpreter = InterpreterTree
-	return NewSystem(g, vmOpts), NewSystem(g, treeOpts)
+// referenceCount counts p under constraints cons (nil for none) by
+// running the plan sys compiled for that query — served from sys's plan
+// cache — through engine.RunReference.
+func referenceCount(t testing.TB, sys *System, p *Pattern, cons []LabelConstraint) int64 {
+	t.Helper()
+	e, _, err := sys.planFor(p, QueryOpts{Constraints: cons})
+	if err != nil {
+		t.Fatalf("%s: plan: %v", p, err)
+	}
+	return referencePlanCount(t, sys, e.plan)
+}
+
+// referencePlanCount runs plan on sys's graph through engine.RunReference.
+func referencePlanCount(t testing.TB, sys *System, plan *core.Plan) int64 {
+	t.Helper()
+	globals, err := engine.RunReference(sys.graph.g, plan.Prog, nil, nil)
+	if err != nil {
+		t.Fatalf("%s: reference run: %v", plan.Desc, err)
+	}
+	count, err := plan.ExtractCount(globals, nil)
+	if err != nil {
+		t.Fatalf("%s: reference count: %v", plan.Desc, err)
+	}
+	return count
+}
+
+func differentialSystem(g *Graph, threads int) *System {
+	return NewSystem(g, Options{Threads: threads, CostModel: CostLocality})
 }
 
 func TestVMDifferentialMotifSuite(t *testing.T) {
@@ -36,30 +60,24 @@ func TestVMDifferentialMotifSuite(t *testing.T) {
 		{"rmat", GenerateRMAT(8, 6, 5678), 4},
 	}
 	for _, gc := range cases {
-		vmSys, treeSys := vmTreePair(gc.g, 3)
+		sys := differentialSystem(gc.g, 3)
 		for k := 3; k <= gc.maxK; k++ {
 			for i, p := range pattern.ConnectedPatterns(k) {
 				pp := &Pattern{p}
-				got, err := vmSys.GetPatternCount(pp)
+				got, err := sys.CountPattern(pp)
 				if err != nil {
 					t.Fatalf("%s k=%d #%d vm: %v", gc.name, k, i, err)
 				}
-				want, err := treeSys.GetPatternCount(pp)
-				if err != nil {
-					t.Fatalf("%s k=%d #%d tree: %v", gc.name, k, i, err)
+				if want := referenceCount(t, sys, pp, nil); got.Count != want {
+					t.Errorf("%s k=%d pattern #%d (%s): vm %d, reference %d",
+						gc.name, k, i, p, got.Count, want)
 				}
-				if got != want {
-					t.Errorf("%s k=%d pattern #%d (%s): vm %d, tree %d",
-						gc.name, k, i, p, got, want)
+				if got.Stats.Exec.Instructions == 0 {
+					t.Errorf("%s k=%d pattern #%d: VM reported no executed instructions", gc.name, k, i)
 				}
 			}
 		}
-		if st := vmSys.LastExecStats(); st.Instructions == 0 {
-			t.Errorf("%s: VM system reported no executed instructions", gc.name)
-		}
-		if st := treeSys.LastExecStats(); st.Instructions != 0 {
-			t.Errorf("%s: tree system reported instruction counts %d", gc.name, st.Instructions)
-		}
+		sys.Close()
 	}
 }
 
@@ -89,19 +107,16 @@ func TestVMDifferentialSixVertexMotifs(t *testing.T) {
 		t.Skip("differential tests are slow")
 	}
 	g := GenerateGNP(55, 0.09, 97531)
-	vmSys, treeSys := vmTreePair(g, 2)
+	sys := differentialSystem(g, 2)
+	defer sys.Close()
 	for i, p := range sixVertexPatterns() {
 		pp := &Pattern{p}
-		got, err := vmSys.GetPatternCount(pp)
+		got, err := sys.GetPatternCount(pp)
 		if err != nil {
 			t.Fatalf("6-vertex #%d vm: %v", i, err)
 		}
-		want, err := treeSys.GetPatternCount(pp)
-		if err != nil {
-			t.Fatalf("6-vertex #%d tree: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("6-vertex pattern #%d (%s): vm %d, tree %d", i, p, got, want)
+		if want := referenceCount(t, sys, pp, nil); got != want {
+			t.Errorf("6-vertex pattern #%d (%s): vm %d, reference %d", i, p, got, want)
 		}
 	}
 }
@@ -112,7 +127,8 @@ func TestVMDifferentialLabeledAndConstrained(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(8642))
 	g := GenerateGNP(50, 0.12, 13579).WithRandomLabels(3, 24680)
-	vmSys, treeSys := vmTreePair(g, 2)
+	sys := differentialSystem(g, 2)
+	defer sys.Close()
 
 	// Labeled patterns: random subset of vertices pinned to labels.
 	for trial := 0; trial < 6; trial++ {
@@ -123,16 +139,12 @@ func TestVMDifferentialLabeledAndConstrained(t *testing.T) {
 			}
 		}
 		pp := &Pattern{p}
-		got, err := vmSys.GetPatternCount(pp)
+		got, err := sys.GetPatternCount(pp)
 		if err != nil {
 			t.Fatalf("labeled trial %d vm: %v", trial, err)
 		}
-		want, err := treeSys.GetPatternCount(pp)
-		if err != nil {
-			t.Fatalf("labeled trial %d tree: %v", trial, err)
-		}
-		if got != want {
-			t.Errorf("labeled trial %d (%s): vm %d, tree %d", trial, p, got, want)
+		if want := referenceCount(t, sys, pp, nil); got != want {
+			t.Errorf("labeled trial %d (%s): vm %d, reference %d", trial, p, got, want)
 		}
 	}
 
@@ -145,16 +157,12 @@ func TestVMDifferentialLabeledAndConstrained(t *testing.T) {
 		{Kind: AllDifferentLabels, Vertices: []int{0, 1, 2}},
 		{Kind: AllSameLabel, Vertices: []int{1, 3, 4}},
 	}
-	got, err := vmSys.CountWithConstraints(p, cons)
+	got, err := sys.CountWithConstraints(p, cons)
 	if err != nil {
 		t.Fatalf("constrained vm: %v", err)
 	}
-	want, err := treeSys.CountWithConstraints(p, cons)
-	if err != nil {
-		t.Fatalf("constrained tree: %v", err)
-	}
-	if got != want {
-		t.Errorf("constrained fig6: vm %d, tree %d", got, want)
+	if want := referenceCount(t, sys, p, cons); got != want {
+		t.Errorf("constrained fig6: vm %d, reference %d", got, want)
 	}
 }
 
@@ -163,22 +171,20 @@ func TestVMDifferentialCancellationMidRun(t *testing.T) {
 		t.Skip("differential tests are slow")
 	}
 	// A run far too large for a 1ms budget (the full run takes seconds
-	// single-threaded) but with short cancellation-check chunks: both
-	// engines must observe the cancellation mid-run and report a timeout
-	// rather than hanging or returning a bogus full count.
+	// single-threaded) but with short cancellation-check chunks: the VM
+	// must observe the cancellation mid-run and report a timeout rather
+	// than hanging or returning a bogus full count.
 	g := GenerateRMAT(10, 8, 2468)
 	cycle5 := pattern.New(5)
 	for v := 0; v < 5; v++ {
 		cycle5.AddEdge(v, (v+1)%5)
 	}
-	vmSys, treeSys := vmTreePair(g, 1)
-	for name, sys := range map[string]*System{"vm": vmSys, "tree": treeSys} {
-		_, timedOut, err := sys.GetPatternCountWithin(&Pattern{cycle5}, time.Millisecond)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !timedOut {
-			t.Errorf("%s: 1ms budget on 5-cycle over %s did not time out", name, g)
-		}
+	sys := differentialSystem(g, 1)
+	_, timedOut, err := sys.GetPatternCountWithin(&Pattern{cycle5}, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !timedOut {
+		t.Errorf("1ms budget on 5-cycle over %s did not time out", g)
 	}
 }
